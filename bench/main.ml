@@ -12,7 +12,6 @@ let pfx = Igp.Prefix.v
      dune exec bench/main.exe -- par     — only TPAR, full scale
      dune exec bench/main.exe -- spf     — only TSPF
      dune exec bench/main.exe -- json    — also write BENCH_*.json
-     dune exec bench/main.exe -- domains=N  — pin the worker-pool width
      dune exec bench/main.exe -- prof [--history FILE --tag SHA]
                                          — TPROF allocation tracks, and
                                            append one history row per track
@@ -993,15 +992,13 @@ let tspf ~json () =
   in
   let speedup_cold = seed_full_ms /. engine_cold_ms in
   let speedup_churn = seed_full_ms /. engine_churn_ms in
-  let domains = Kit.Pool.domain_count (Igp.Spf_engine.pool engine) in
   let cores = Domain.recommended_domain_count () in
-  Format.printf
-    "topology: %s (%d routers, %d links, %d prefixes); %d domains on %d cores@."
-    entry.Netgraph.Zoo.name n links (List.length prefixes) domains cores;
+  Format.printf "topology: %s (%d routers, %d links, %d prefixes); %d cores@."
+    entry.Netgraph.Zoo.name n links (List.length prefixes) cores;
   Format.printf "%-44s %10.3f ms@."
     "seed full recompute (router x prefix Dijkstras)" seed_full_ms;
   Format.printf "%-44s %10.3f ms  (%.1fx)@."
-    (Printf.sprintf "engine cold (%d batched Dijkstras, %d domains)" n domains)
+    (Printf.sprintf "engine cold (%d batched Dijkstras)" n)
     engine_cold_ms speedup_cold;
   Format.printf "%-44s %10.3f ms  (%.1fx)@."
     (Printf.sprintf "engine churn (1 fake, ~%.1f routers dirty)" avg_dirty)
@@ -1022,7 +1019,6 @@ let tspf ~json () =
       \  \"links\": %d,\n\
       \  \"prefixes\": %d,\n\
       \  \"cores\": %d,\n\
-      \  \"domains\": %d,\n\
       \  \"seed_full_ms\": %.6f,\n\
       \  \"engine_cold_ms\": %.6f,\n\
       \  \"engine_churn_ms\": %.6f,\n\
@@ -1036,7 +1032,7 @@ let tspf ~json () =
       \  \"speedup_churn\": %.2f,\n\
       \  \"avg_dirty_routers\": %.2f\n\
        }\n"
-      entry.Netgraph.Zoo.name n links (List.length prefixes) cores domains
+      entry.Netgraph.Zoo.name n links (List.length prefixes) cores
       seed_full_ms engine_cold_ms engine_churn_ms cold_summary.p50
       cold_summary.p95 cold_summary.p99 churn_summary.p50 churn_summary.p95
       churn_summary.p99 speedup_cold speedup_churn avg_dirty;
@@ -1155,7 +1151,7 @@ let tflow ~json ~quick () =
             wall_samples ~repeat (fun () ->
                 ignore
                   (Netsim.Fairshare.link_throughput routes
-                     (Netsim.Fairshare.allocate_reference caps routes)))
+                     (Oracle.allocate_reference caps routes)))
           in
           results := (name, count, classes, old_samples, new_samples) :: !results)
         counts)
@@ -1223,109 +1219,18 @@ let tflow ~json ~quick () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* TPAR: multicore scale-out — the same three workloads at 1/2/4/8
-   domains, with the sequential run as the equivalence oracle. Speedups
-   are whatever the machine gives (the JSON records its core count); the
-   determinism check is unconditional and fails the bench — parallel
-   runs must produce byte-identical FIBs, water-fill rates, chaos
-   verdicts and per-run timelines. *)
+(* TPAR: the one pooled path — a chaos seed sweep, one scenario per
+   domain — at 1/2/4/8 domains, with the sequential sweep as the
+   equivalence oracle. Speedups are whatever the machine gives (the JSON
+   records its core count); the determinism check is unconditional and
+   fails the bench — every width must produce identical verdicts and
+   byte-identical per-run timelines. *)
 
 let tpar ~json ~quick () =
-  section "TPAR"
-    "Multicore scale-out: SPF churn, water-fill setup, chaos sweeps vs domains";
+  section "TPAR" "Chaos seed sweeps vs domains";
   let cores = Domain.recommended_domain_count () in
   let widths = [ 1; 2; 4; 8 ] in
   Format.printf "machine cores (recommended domains): %d@." cores;
-  let best = List.fold_left min infinity in
-  let wall_samples ?(repeat = 5) ?(prepare = ignore) f =
-    let samples = ref [] in
-    for _ = 1 to repeat do
-      prepare ();
-      let t0 = Unix.gettimeofday () in
-      f ();
-      samples := ((Unix.gettimeofday () -. t0) *. 1000.) :: !samples
-    done;
-    List.rev !samples
-  in
-  (* -- Track A: GEANT churn reconvergence, SPF batches sharded. -- *)
-  let spf_track d =
-    let entry = Netgraph.Zoo.geant () in
-    let g = entry.Netgraph.Zoo.graph in
-    let net = Igp.Network.create ~domains:d g in
-    List.iter
-      (fun r ->
-        Igp.Network.announce_prefix net (pfx (Printf.sprintf "p%02d" r)) ~origin:r
-          ~cost:0)
-      (G.nodes g);
-    let prefixes = Igp.Lsdb.prefix_list (Igp.Network.lsdb net) in
-    let flip = ref false in
-    let churn () =
-      flip := not !flip;
-      if !flip then
-        Igp.Network.inject_fake net
-          {
-            fake_id = "bench";
-            attachment = 0;
-            attachment_cost = 1;
-            prefix = pfx "p20";
-            announced_cost = 0;
-            forwarding = fst (List.hd (G.succ g 0));
-          }
-      else Igp.Network.retract_fake net ~fake_id:"bench"
-    in
-    Igp.Network.warm net;
-    let samples =
-      wall_samples ~repeat:(if quick then 10 else 30) ~prepare:churn (fun () ->
-          Igp.Network.warm net)
-    in
-    (* Serialize every FIB after the last (fake-retracted) reconvergence:
-       the dump must be byte-identical at every width. *)
-    Igp.Network.warm net;
-    let buf = Buffer.create 65536 in
-    List.iter
-      (fun prefix ->
-        Array.iteri
-          (fun router fib ->
-            match fib with
-            | None -> Buffer.add_string buf (Printf.sprintf "%d/%s -@." router (Igp.Prefix.to_string prefix))
-            | Some fib ->
-              Buffer.add_string buf
-                (Format.asprintf "%d/%s %a@." router (Igp.Prefix.to_string prefix)
-                   (Igp.Fib.pp ~names:(G.name g))
-                   fib))
-          (Igp.Network.fib_table net prefix))
-      prefixes;
-    (best samples, Buffer.contents buf)
-  in
-  (* -- Track B: flash-crowd water-fill, setup phases sharded. -- *)
-  let wf_flows = if quick then 20_000 else 100_000 in
-  let nlinks = 400 in
-  let wf_caps = Netsim.Link.capacities ~default:(24. *. 1024. *. 1024.) in
-  let wf_demands, wf_links, wf_weights =
-    let prng = Kit.Prng.create ~seed:42 in
-    let demands =
-      Array.init wf_flows (fun _ ->
-          64. *. 1024. *. float_of_int (1 + Kit.Prng.int prng 8))
-    in
-    let links =
-      Array.init wf_flows (fun _ ->
-          let s = Kit.Prng.int prng (nlinks - 3) in
-          [ (s, s + 1); (s + 1, s + 2); (s + 2, s + 3) ])
-    in
-    (demands, links, Array.make wf_flows 1)
-  in
-  let wf_track d =
-    let pool = Kit.Pool.create ~domains:d () in
-    let out = ref [||] in
-    let samples =
-      wall_samples ~repeat:(if quick then 3 else 5) (fun () ->
-          out :=
-            Netsim.Fairshare.water_fill ~pool wf_caps ~demands:wf_demands
-              ~links:wf_links ~weights:wf_weights)
-    in
-    (best samples, !out)
-  in
-  (* -- Track C: chaos seed sweep, one scenario per domain. -- *)
   let chaos_seeds = List.init (if quick then 8 else 64) (fun i -> i + 1) in
   let chaos_track d =
     let pool = Kit.Pool.create ~domains:d () in
@@ -1333,13 +1238,8 @@ let tpar ~json ~quick () =
     let results = Scenarios.Chaos.sweep ~pool ~seeds:chaos_seeds ~until:20. () in
     ((Unix.gettimeofday () -. t0) *. 1000., List.map fst results)
   in
-  let spf = List.map spf_track widths in
-  let wf = List.map wf_track widths in
   let chaos = List.map chaos_track widths in
-  let base f l = f (List.hd l) in
-  let spf_ref = base snd spf and wf_ref = base snd wf and chaos_ref = base snd chaos in
-  let spf_ok = List.for_all (fun (_, dump) -> dump = spf_ref) spf in
-  let wf_ok = List.for_all (fun (_, rates) -> rates = wf_ref) wf in
+  let base_ms, chaos_ref = List.hd chaos in
   let chaos_ok = List.for_all (fun (_, vs) -> vs = chaos_ref) chaos in
   (* Determinism of captured timelines: a telemetry-on sweep must emit
      byte-identical per-run timelines at widths 1, 2 and 4. *)
@@ -1357,31 +1257,14 @@ let tpar ~json ~quick () =
   in
   let tl1 = timeline_sweep 1 in
   let tl_ok = List.for_all (fun d -> timeline_sweep d = tl1) [ 2; 4 ] in
-  Format.printf "@.%-8s %14s %14s %14s@." "domains" "spf churn" "water-fill"
-    "chaos sweep";
-  List.iteri
-    (fun i d ->
-      Format.printf "%-8d %11.3f ms %11.3f ms %11.3f ms@." d
-        (fst (List.nth spf i))
-        (fst (List.nth wf i))
-        (fst (List.nth chaos i)))
-    widths;
-  let speedups track = List.map (fun (ms, _) -> base fst track /. ms) track in
-  let spf_speedups = speedups spf in
-  let wf_speedups = speedups wf in
-  let chaos_speedups = speedups chaos in
-  let pp_speedups label l =
-    Format.printf "%-20s" label;
-    List.iter (fun s -> Format.printf " %6.2fx" s) l;
-    Format.printf "@."
-  in
-  pp_speedups "spf speedup" spf_speedups;
-  pp_speedups "water-fill speedup" wf_speedups;
-  pp_speedups "chaos speedup" chaos_speedups;
-  Format.printf
-    "determinism: fibs %s, water-fill rates %s, chaos verdicts %s, timelines %s@."
-    (if spf_ok then "identical" else "DIVERGED")
-    (if wf_ok then "identical" else "DIVERGED")
+  let speedups = List.map (fun (ms, _) -> base_ms /. ms) chaos in
+  Format.printf "@.%-8s %14s %8s@." "domains" "chaos sweep" "speedup";
+  List.iter2
+    (fun d ((ms, _), speedup) ->
+      Format.printf "%-8d %11.3f ms %7.2fx@." d ms speedup)
+    widths
+    (List.combine chaos speedups);
+  Format.printf "determinism: chaos verdicts %s, timelines %s@."
     (if chaos_ok then "identical" else "DIVERGED")
     (if tl_ok then "identical" else "DIVERGED");
   if json then begin
@@ -1392,31 +1275,21 @@ let tpar ~json ~quick () =
       \  \"bench\": \"parallel\",\n\
       \  \"cores\": %d,\n\
       \  \"domains\": [%s],\n\
-      \  \"spf_churn_ms\": [%s],\n\
-      \  \"spf_speedup\": [%s],\n\
-      \  \"waterfill_flows\": %d,\n\
-      \  \"waterfill_ms\": [%s],\n\
-      \  \"waterfill_speedup\": [%s],\n\
       \  \"chaos_seeds\": %d,\n\
       \  \"chaos_sweep_ms\": [%s],\n\
       \  \"chaos_speedup\": [%s],\n\
-      \  \"determinism\": {\"spf_fibs\": %b, \"waterfill_rates\": %b,\n\
-      \                  \"chaos_verdicts\": %b, \"chaos_timelines\": %b}\n\
+      \  \"determinism\": {\"chaos_verdicts\": %b, \"chaos_timelines\": %b}\n\
        }\n"
       cores
       (String.concat ", " (List.map string_of_int widths))
-      (floats (List.map fst spf))
-      (floats spf_speedups) wf_flows
-      (floats (List.map fst wf))
-      (floats wf_speedups)
       (List.length chaos_seeds)
       (floats (List.map fst chaos))
-      (floats chaos_speedups) spf_ok wf_ok chaos_ok tl_ok;
+      (floats speedups) chaos_ok tl_ok;
     close_out oc;
     Format.printf "wrote BENCH_parallel.json@."
   end;
-  if not (spf_ok && wf_ok && chaos_ok && tl_ok) then begin
-    Format.printf "TPAR FAILED: parallel execution diverged from sequential@.";
+  if not (chaos_ok && tl_ok) then begin
+    Format.printf "TPAR FAILED: parallel sweep diverged from sequential@.";
     exit 1
   end
 
@@ -1626,11 +1499,7 @@ let prof_measure ~cycles f =
   (Obs.Prof.delta ~before ~after:(Obs.Prof.snapshot ()), wall_ms)
 
 let tprof ~quick ~history ~tag () =
-  section "TPROF" "Allocation/GC profile of the hot paths (domains pinned to 1)";
-  (* Allocation attribution needs the work on the measuring domain, and
-     history rows must not depend on the CI matrix width — every net
-     and kernel in this section runs single-domain. *)
-  Kit.Pool.set_default_domains (Some 1);
+  section "TPROF" "Allocation/GC profile of the hot paths (one domain)";
   let rows = ref [] in
   let emit ~track ~cycles ~context (d : Obs.Prof.snap) wall_ms =
     let per = float_of_int cycles in
@@ -1650,6 +1519,8 @@ let tprof ~quick ~history ~tag () =
             ("major_collections", float_of_int d.Obs.Prof.major_collections);
             ("wall_ms", wall_ms /. per);
             ("cycles", per);
+            (* Every track runs on one domain; the key stays in the
+               context the gate matches rows on. *)
             ("domains", 1.);
           ]
           @ context;
@@ -1918,24 +1789,32 @@ let tfib ~json ~quick ~history ~tag () =
     in
     agree "baseline";
     (* Lie churn: inject and retract fakes on random announced prefixes,
-       reconverging and re-probing each time. *)
+       reconverging and re-probing each time. Only inject+warm and
+       retract+warm are timed; the probes are verification. *)
     let lies = if quick then 5 else 20 in
-    let t0 = Unix.gettimeofday () in
+    let elapsed = ref 0. in
+    let timed f =
+      let t0 = Unix.gettimeofday () in
+      f ();
+      elapsed := !elapsed +. (Unix.gettimeofday () -. t0)
+    in
     for i = 1 to lies do
       let at = Kit.Prng.pick prng nodes in
       let prefix = Kit.Prng.pick prng prefixes in
       let forwarding = fst (Kit.Prng.pick prng (Array.of_list (G.succ g at))) in
       let fake_id = Printf.sprintf "tfib%d" i in
-      Igp.Network.inject_fake net
-        { fake_id; attachment = at; attachment_cost = 1; prefix;
-          announced_cost = 0; forwarding };
-      Igp.Network.warm net;
+      timed (fun () ->
+          Igp.Network.inject_fake net
+            { fake_id; attachment = at; attachment_cost = 1; prefix;
+              announced_cost = 0; forwarding };
+          Igp.Network.warm net);
       agree (Printf.sprintf "lie %d installed" i);
-      Igp.Network.retract_fake net ~fake_id;
-      Igp.Network.warm net;
+      timed (fun () ->
+          Igp.Network.retract_fake net ~fake_id;
+          Igp.Network.warm net);
       agree (Printf.sprintf "lie %d retracted" i)
     done;
-    let lie_ms = (Unix.gettimeofday () -. t0) *. 1000. /. float_of_int lies in
+    let lie_ms = !elapsed *. 1000. /. float_of_int lies in
     (* Aggregation payoff across the real per-router tries. *)
     let ratios, kbs =
       List.split
@@ -2051,15 +1930,6 @@ let flag_value name =
 let () =
   let quick = Array.exists (fun a -> a = "quick") Sys.argv in
   let json = Array.exists (fun a -> a = "json") Sys.argv in
-  (* domains=N pins the process-default pool width (same knob as
-     fibbingctl --domains); otherwise FIBBING_DOMAINS / the machine
-     default apply. *)
-  Array.iter
-    (fun a ->
-      match String.split_on_char '=' a with
-      | [ "domains"; d ] -> Kit.Pool.set_default_domains (int_of_string_opt d)
-      | _ -> ())
-    Sys.argv;
   if Array.exists (fun a -> a = "gate") Sys.argv then begin
     let file =
       Option.value ~default:"bench/history.jsonl" (flag_value "history")

@@ -58,18 +58,6 @@ let topology_arg =
   in
   Arg.(value & opt string "demo" & info [ "t"; "topology" ] ~docv:"TOPO" ~doc)
 
-(* --domains N: process-wide worker-pool width. Every pool created after
-   this point (SPF engines, sweep pools) defaults to N. *)
-let domains_arg =
-  let doc =
-    "Worker domains for parallel sections (SPF sharding, water-fill setup, \
-     scenario sweeps). Defaults to the FIBBING_DOMAINS environment variable, \
-     else the machine's recommended domain count."
-  in
-  Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
-
-let apply_domains d = Kit.Pool.set_default_domains d
-
 (* Prefixes are validated at the CLI boundary: a malformed CIDR is a
    usage error with the parser's reason, not an unroutable destination. *)
 let prefix_conv =
@@ -545,8 +533,7 @@ let run_cmd =
 (* ---------- flood ---------- *)
 
 let flood_cmd =
-  let run flows until no_agg domains =
-    apply_domains domains;
+  let run flows until no_agg =
     let d = Scenarios.Demo.make ~fibbing:true ~aggregation:(not no_agg) () in
     let prng = Kit.Prng.create ~seed:11 in
     let spec src =
@@ -615,13 +602,12 @@ let flood_cmd =
      classes, not the number of streams."
   in
   Cmd.v (Cmd.info "flood" ~doc)
-    Term.(const run $ flows $ until $ no_agg $ domains_arg)
+    Term.(const run $ flows $ until $ no_agg)
 
 (* ---------- chaos ---------- *)
 
 let chaos_cmd =
   let run seed until faults trace json seeds domains watchdog =
-    apply_domains domains;
     if seeds <= 1 then begin
       Obs.reset ();
       if trace || json then Obs.enable ();
@@ -646,7 +632,9 @@ let chaos_cmd =
       if json then Obs.enable ();
       let seed_list = List.init seeds (fun i -> seed + i) in
       let results =
-        Scenarios.Chaos.sweep ~faults ~watchdog ~seeds:seed_list ~until ()
+        Scenarios.Chaos.sweep
+          ~pool:(Kit.Pool.create ?domains ())
+          ~faults ~watchdog ~seeds:seed_list ~until ()
       in
       Obs.disable ();
       let failures = ref 0 in
@@ -708,6 +696,13 @@ let chaos_cmd =
                  freshness and anchoring, per-link utilization bound. \
                  Any violation at any step fails the run. Default true.")
   in
+  let domains =
+    Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N"
+           ~doc:"Worker domains for a --seeds sweep, one scenario per \
+                 domain. Defaults to 1: the runtime cannot tell a shared \
+                 vCPU from a free core, so widen only where cores are \
+                 really idle. Verdicts and timelines do not depend on it.")
+  in
   let doc =
     "Run the demo network under a random seeded fault schedule (link \
      flaps, router crashes, partitions, lossy and delayed flooding, \
@@ -720,7 +715,7 @@ let chaos_cmd =
   in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(const run $ seed $ until $ faults $ trace $ json $ seeds
-          $ domains_arg $ watchdog)
+          $ domains $ watchdog)
 
 (* ---------- topo ---------- *)
 

@@ -525,13 +525,17 @@ let install_requirements t ~time ~prefix ~description routers =
     in
     let rollback message =
       (* The previous steering may no longer be installable — a link it
-         forwards over can have failed since. Reinstall what still fits
-         the topology and drop the rest; never die mid-reaction. *)
+         forwards over can have failed since — or no longer safe: a
+         router crash can have flushed one of its fakes, and re-adding
+         the set can then form a loop. Reinstall it only when it passes
+         the same end-state gate a new plan does, else drop it; never
+         die mid-reaction. *)
       Option.iter
         (fun s ->
           (match Augmentation.apply t.net s.plan with
-          | () -> List.iter (stamp t ~time) s.plan.Augmentation.fakes
-          | exception Invalid_argument _ ->
+          | () when Result.is_ok (Transient.state_safe t.net ~prefix) ->
+            List.iter (stamp t ~time) s.plan.Augmentation.fakes
+          | () | (exception Invalid_argument _) ->
             Augmentation.revert t.net s.plan;
             Hashtbl.remove t.states prefix);
           s.last_action <- time)

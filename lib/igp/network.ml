@@ -16,17 +16,17 @@ type t = {
       (* Chaos knob: per-adjacency delivery jitter (LSA delay/reorder). *)
 }
 
-let create ?domains graph =
-  let lsdb = Lsdb.create graph in
-  let pool = Kit.Pool.create ?domains () in
+let of_lsdb graph lsdb =
   {
     graph;
     lsdb;
-    engine = Spf_engine.create ~pool lsdb;
+    engine = Spf_engine.create lsdb;
     control = Flooding.zero;
     flooding_loss = None;
     flooding_jitter = None;
   }
+
+let create graph = of_lsdb graph (Lsdb.create graph)
 
 let clone t =
   let graph = Graph.copy t.graph in
@@ -35,17 +35,7 @@ let clone t =
     (fun (prefix, origin, cost) -> Lsdb.announce_prefix lsdb prefix ~origin ~cost)
     (Lsdb.prefixes t.lsdb);
   List.iter (fun fake -> Lsdb.install_fake lsdb fake) (Lsdb.fakes t.lsdb);
-  let pool =
-    Kit.Pool.create ~domains:(Kit.Pool.domain_count (Spf_engine.pool t.engine)) ()
-  in
-  {
-    graph;
-    lsdb;
-    engine = Spf_engine.create ~pool lsdb;
-    control = Flooding.zero;
-    flooding_loss = None;
-    flooding_jitter = None;
-  }
+  of_lsdb graph lsdb
 
 let graph t = t.graph
 

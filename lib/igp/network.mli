@@ -5,17 +5,12 @@
 
 type t
 
-val create : ?domains:int -> Netgraph.Graph.t -> t
-(** [domains] sizes the SPF engine's worker pool (default
-    [Kit.Pool.default_domain_count ()]). Scenario sweeps that already
-    run one network per domain pass [~domains:1] so the inner engine
-    stays sequential instead of nesting fan-outs. *)
+val create : Netgraph.Graph.t -> t
 
 val clone : t -> t
 (** Independent deep copy (graph, announcements, fakes); used to test a
     candidate augmentation before touching the live network. Control-cost
-    counters start at zero in the clone; the SPF pool keeps the
-    original's width. *)
+    counters start at zero in the clone. *)
 
 val graph : t -> Netgraph.Graph.t
 

@@ -1,8 +1,7 @@
 module Graph = Netgraph.Graph
 module Dijkstra = Netgraph.Dijkstra
 
-(* Telemetry (no-ops while Obs is disabled; only touched from the
-   coordinating domain — workers report through the [spf_runs] atomic). *)
+(* Telemetry (no-ops while Obs is disabled). *)
 let m_spf_runs = Obs.Metrics.counter "spf.runs"
 let m_syncs = Obs.Metrics.counter "spf.syncs"
 let m_full_invalidations = Obs.Metrics.counter "spf.full_invalidations"
@@ -28,7 +27,6 @@ type dirt = Full_dirt | Routers_dirt of Graph.node list
 
 type t = {
   lsdb : Lsdb.t;
-  pool : Kit.Pool.t;
   mutable entries : (Lsa.prefix, Fib.t) Hashtbl.t option array;
       (* Slot [r] holds router [r]'s full per-prefix FIB table, valid at
          version [synced]; [None] marks a dirty router. *)
@@ -39,7 +37,7 @@ type t = {
          the router's flat table is refilled — never rebuilt. Routers
          that are never LPM-queried pay nothing. *)
   mutable synced : int;
-  spf_runs : int Atomic.t; (* bumped from worker domains *)
+  mutable spf_runs : int;
   mutable syncs : int;
   mutable full_invalidations : int;
   mutable routers_dirtied : int;
@@ -50,16 +48,14 @@ type t = {
   mutable dirty_log : (int * dirt) list;
 }
 
-let create ?pool lsdb =
-  let pool = match pool with Some p -> p | None -> Kit.Pool.create () in
+let create lsdb =
   let n = Graph.node_count (Lsdb.base_graph lsdb) in
   {
     lsdb;
-    pool;
     entries = Array.make n None;
     tries = Array.make n None;
     synced = Lsdb.version lsdb;
-    spf_runs = Atomic.make 0;
+    spf_runs = 0;
     syncs = 0;
     full_invalidations = 0;
     routers_dirtied = 0;
@@ -80,11 +76,9 @@ let record_dirt t dirt =
        List.filteri (fun i _ -> i < dirty_log_limit) log
      else log)
 
-let pool t = t.pool
-
 let stats t =
   {
-    spf_runs = Atomic.get t.spf_runs;
+    spf_runs = t.spf_runs;
     syncs = t.syncs;
     full_invalidations = t.full_invalidations;
     routers_dirtied = t.routers_dirtied;
@@ -93,7 +87,7 @@ let stats t =
 
 (* One Dijkstra for router [r], shared by every prefix. *)
 let compute_router t view r =
-  Atomic.incr t.spf_runs;
+  t.spf_runs <- t.spf_runs + 1;
   let fib_list = Spf.compute view ~router:r in
   let tbl = Hashtbl.create (max 8 (2 * List.length fib_list)) in
   List.iter (fun (f : Fib.t) -> Hashtbl.replace tbl f.prefix f) fib_list;
@@ -118,8 +112,7 @@ let patch_trie trie tbl =
     tbl
 
 (* Every flat-table refill flows through here so a materialized trie
-   never goes stale. Parallel callers write disjoint router slots, so
-   per-slot trie mutation stays single-writer. *)
+   never goes stale. *)
 let install_table t r tbl =
   t.entries.(r) <- Some tbl;
   match t.tries.(r) with
@@ -356,34 +349,26 @@ let distance t ~router prefix =
 
 let compute_all t =
   sync t;
-  let n = Array.length t.entries in
-  let missing = ref [] in
-  for r = n - 1 downto 0 do
-    if t.entries.(r) = None then missing := r :: !missing
-  done;
-  match !missing with
+  let missing =
+    List.filter (fun r -> t.entries.(r) = None)
+      (List.init (Array.length t.entries) Fun.id)
+  in
+  match missing with
   | [] -> ()
   | [ r ] -> ignore (table_for t r)
   | rs ->
-    (* Materialize the view before fanning out: [Lsdb.view] mutates its
-       cache and must not race. Workers then only read the view and
-       write disjoint slots of [entries]. *)
+    (* One batch, one span: every missing table refilled from the same
+       materialized view. *)
     let view = Lsdb.view t.lsdb in
-    let missing = Array.of_list rs in
     let work () =
-      Kit.Pool.iter t.pool ~n:(Array.length missing) (fun i ->
-          let r = missing.(i) in
-          install_table t r (compute_router t view r))
+      List.iter (fun r -> install_table t r (compute_router t view r)) rs
     in
-    Obs.Metrics.add m_spf_runs (Array.length missing);
+    let dirty = List.length rs in
+    Obs.Metrics.add m_spf_runs dirty;
     if Obs.enabled () then begin
       let t0 = Obs.Clock.now () in
-      (* No pool-width attribute here: the timeline must be a pure
-         function of the logical run, byte-identical at any width.
-         (Prof attrs only appear under the separate prof switch, which
-         the determinism-gated paths never enable.) *)
       Obs.Prof.with_span "spf.recompute" ~alloc_counter:m_alloc_words
-        ~attrs:[ ("dirty", Int (Array.length missing)) ]
+        ~attrs:[ ("dirty", Int dirty) ]
         work;
       Obs.Metrics.observe m_recompute_ms ((Obs.Clock.now () -. t0) *. 1000.)
     end

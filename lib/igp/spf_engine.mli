@@ -1,4 +1,4 @@
-(** Batched, incremental, parallel SPF/FIB engine.
+(** Batched, incremental SPF/FIB engine.
 
     The engine keeps one full per-prefix FIB table per router — computed
     by a single Dijkstra over the LSDB view and shared by every prefix —
@@ -19,12 +19,10 @@
 
     Both rules are sound over-approximations: a kept table is bitwise
     what a from-scratch SPF would produce. Dirty routers are recomputed
-    lazily on lookup, or in bulk by [compute_all], which fans the batch
-    across a [Kit.Pool] of domains (per-source Dijkstra is embarrassingly
-    parallel).
+    lazily on lookup, or in bulk by [compute_all].
 
-    The engine is not itself thread-safe: calls into one engine must come
-    from a single domain (it parallelizes internally). *)
+    The engine is not thread-safe: calls into one engine must come from
+    a single domain. *)
 
 type t
 
@@ -36,11 +34,8 @@ type stats = {
   routers_kept : int;  (** Tables preserved across all syncs. *)
 }
 
-val create : ?pool:Kit.Pool.t -> Lsdb.t -> t
-(** A fresh engine has no cached tables. [pool] defaults to a pool sized
-    by [Domain.recommended_domain_count]. *)
-
-val pool : t -> Kit.Pool.t
+val create : Lsdb.t -> t
+(** A fresh engine has no cached tables. *)
 
 val sync : t -> unit
 (** Absorb any pending LSDB changes now, dirtying affected routers.
@@ -56,8 +51,8 @@ val fib : t -> router:Netgraph.Graph.node -> Lsa.prefix -> Fib.t option
 val distance : t -> router:Netgraph.Graph.node -> Lsa.prefix -> int option
 
 val compute_all : t -> unit
-(** Bring every router's table up to date, fanning dirty routers across
-    the pool. *)
+(** Bring every router's table up to date, refilling every dirty
+    router from one materialized LSDB view. *)
 
 val lpm :
   t -> router:Netgraph.Graph.node -> int -> (Lsa.prefix * Fib.t) option

@@ -2,10 +2,10 @@
 
    Domains are spawned per [iter] call and always joined before it
    returns, so the pool holds no long-lived resources and needs no
-   shutdown protocol. OCaml domain spawn is cheap relative to an SPF
-   batch, and ephemeral domains sidestep the hazards of a persistent
-   pool (domains outliving the main domain at exit, deadlocks on
-   teardown).
+   shutdown protocol. OCaml domain spawn is cheap relative to a chaos
+   scenario (the pool's one user), and ephemeral domains sidestep the
+   hazards of a persistent pool (domains outliving the main domain at
+   exit, deadlocks on teardown).
 
    Work distribution is a shared atomic cursor claimed in chunks: each
    participant — helper domains plus the calling domain itself — grabs
@@ -20,30 +20,16 @@
 type t = { domains : int }
 
 (* Process-wide default width, consulted by [create] when [?domains]
-   is absent: an explicit [set_default_domains] override wins, then the
-   FIBBING_DOMAINS environment variable, then the runtime's
-   recommendation. This is what the --domains knobs of fibbingctl and
-   bench/main set, so one flag reshapes every pool in the process. *)
+   is absent: 1 unless [set_default_domains] installed an override.
+   Fanning out is opt-in because it only pays for whole chaos scenarios,
+   and the runtime cannot tell a shared vCPU from a core. *)
 let default_override : int option Atomic.t = Atomic.make None
-
-let env_domains () =
-  match Sys.getenv_opt "FIBBING_DOMAINS" with
-  | None -> None
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some d when d >= 1 -> Some d
-    | Some _ | None -> None)
 
 let set_default_domains d =
   Atomic.set default_override (Option.map (max 1) d)
 
 let default_domain_count () =
-  match Atomic.get default_override with
-  | Some d -> d
-  | None -> (
-    match env_domains () with
-    | Some d -> d
-    | None -> Domain.recommended_domain_count ())
+  Option.value (Atomic.get default_override) ~default:1
 
 let create ?domains () =
   let domains =

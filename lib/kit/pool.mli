@@ -1,5 +1,10 @@
 (** Fork/join worker pool over OCaml 5 domains.
 
+    Its one production user is [Scenarios.Chaos.sweep], which runs one
+    whole scenario per work item. Everything finer-grained (SPF batches,
+    water-fill) is sequential: those batches are too small to amortize
+    a domain spawn.
+
     A pool is a concurrency budget, not a set of live threads: every
     [iter]/[map] call spawns up to [domains - 1] helper domains, has the
     calling domain participate too, and joins all helpers before
@@ -25,16 +30,13 @@ val domain_count : t -> int
 
 val default_domain_count : unit -> int
 (** The width [create] uses when [?domains] is absent: the
-    {!set_default_domains} override if set, else the FIBBING_DOMAINS
-    environment variable (ignored unless a positive integer), else
-    [Domain.recommended_domain_count ()]. *)
+    {!set_default_domains} override if set, else 1. *)
 
 val set_default_domains : int option -> unit
-(** Process-wide default width override — what the [--domains] knobs of
-    fibbingctl and bench/main install, so one flag reshapes every pool
-    subsequently created without an explicit [?domains]. [Some d] clamps
-    [d] to at least 1; [None] restores the environment/runtime
-    default. Existing pools are unaffected. *)
+(** Process-wide default width override, for harnesses that reach pools
+    only indirectly: every pool subsequently created without an explicit
+    [?domains] gets this width. [Some d] clamps [d] to at least 1;
+    [None] restores the default of 1. Existing pools are unaffected. *)
 
 val iter : t -> n:int -> (int -> unit) -> unit
 (** [iter t ~n f] runs [f i] for every [i] in [0, n), fanned across the

@@ -10,7 +10,7 @@ let epsilon = 1e-9
    links [links.(g)]; the returned rate is per member. The global water
    level rises; a group freezes when the level reaches its demand or
    when one of its links saturates. The fixed point is the same as the
-   list-based reference below — the data layout is what changed:
+   list-based reference in test/oracle — the data layout is what changed:
 
    - links are interned to dense ints once; group<->link incidence is a
      CSR-style pair of arrays built once;
@@ -26,13 +26,9 @@ let epsilon = 1e-9
    Per-round work is O(degree of what froze * log), not O(flows *
    links). *)
 
-(* Below this many groups, domain spawn/join costs more than the whole
-   setup; the pool only engages on batches worth sharding. *)
-let par_threshold = 512
-
 let m_wf_alloc = Obs.Metrics.counter "fairshare.alloc_words"
 
-let water_fill_kernel ?pool capacities ~demands ~links ~weights =
+let water_fill_kernel capacities ~demands ~links ~weights =
   let n = Array.length demands in
   if Array.length links <> n || Array.length weights <> n then
     invalid_arg "Fairshare.water_fill: array length mismatch";
@@ -42,21 +38,10 @@ let water_fill_kernel ?pool capacities ~demands ~links ~weights =
   let rates = Array.make n 0. in
   if n = 0 then rates
   else begin
-    let par =
-      match pool with
-      | Some p when Kit.Pool.domain_count p > 1 && n >= par_threshold -> Some p
-      | Some _ | None -> None
-    in
-    (* Setup phase 1 — normalize each group's link list. Per-group and
-       pure, so it fans out across domains. *)
-    let normalized =
-      match par with
-      | Some p -> Kit.Pool.map p ~n (fun g -> List.sort_uniq Link.compare links.(g))
-      | None -> Array.map (List.sort_uniq Link.compare) links
-    in
-    (* Setup phase 2 — intern links to dense ids, sequentially in group
-       order so ids (and hence heap tie-breaking) are identical at any
-       pool width. *)
+    (* Setup: normalize each group's link list, intern links to dense ids
+       in group order (ids fix the heap's tie-breaking), then map each
+       group's links to ids. *)
+    let normalized = Array.map (List.sort_uniq Link.compare) links in
     let ids : (Link.t, int) Hashtbl.t = Hashtbl.create (4 * n) in
     let nl = ref 0 in
     Array.iter
@@ -66,13 +51,9 @@ let water_fill_kernel ?pool capacities ~demands ~links ~weights =
              incr nl
            end))
       normalized;
-    (* Setup phase 3 — per-group incidence over dense ids: read-only
-       hashtable lookups, fanned out. *)
-    let to_ids ls = Array.of_list (List.map (Hashtbl.find ids) ls) in
     let incidence =
-      match par with
-      | Some p -> Kit.Pool.map p ~n (fun g -> to_ids normalized.(g))
-      | None -> Array.map to_ids normalized
+      Array.map (fun ls -> Array.of_list (List.map (Hashtbl.find ids) ls))
+        normalized
     in
     let nl = !nl in
     let cap = Array.make nl 0. in
@@ -221,12 +202,12 @@ let water_fill_kernel ?pool capacities ~demands ~links ~weights =
     rates
   end
 
-let water_fill ?pool capacities ~demands ~links ~weights =
+let water_fill capacities ~demands ~links ~weights =
   if Obs.enabled () then
     Obs.Prof.with_span "fairshare.water_fill" ~alloc_counter:m_wf_alloc
       ~attrs:[ ("groups", Obs.Attr.Int (Array.length demands)) ]
-      (fun () -> water_fill_kernel ?pool capacities ~demands ~links ~weights)
-  else water_fill_kernel ?pool capacities ~demands ~links ~weights
+      (fun () -> water_fill_kernel capacities ~demands ~links ~weights)
+  else water_fill_kernel capacities ~demands ~links ~weights
 
 let check_distinct_ids routes =
   let seen = Hashtbl.create 64 in
@@ -247,118 +228,6 @@ let allocate capacities routes =
   let rates = water_fill capacities ~demands ~links ~weights in
   Array.to_list
     (Array.mapi (fun i r -> (r.flow.Flow.id, rates.(i))) routes_arr)
-
-(* ------------------------------------------------------------------ *)
-(* Reference implementation: the original list-based progressive fill,
-   kept as the oracle for the property tests and as the pre-kernel
-   baseline the TFLOW bench times. Per round it rescans every link with
-   List.filter/List.length, so it is O(flows * links) per freeze. *)
-
-let allocate_reference capacities routes =
-  check_distinct_ids routes;
-  let routes_arr = Array.of_list routes in
-  let n = Array.length routes_arr in
-  let rates = Array.make n 0. in
-  let frozen = Array.make n false in
-  (* Distinct links and, per link, the indices of flows crossing it. *)
-  let link_flows : (Link.t, int list) Hashtbl.t = Hashtbl.create 32 in
-  Array.iteri
-    (fun i r ->
-      List.iter
-        (fun link ->
-          let existing = Option.value ~default:[] (Hashtbl.find_opt link_flows link) in
-          Hashtbl.replace link_flows link (i :: existing))
-        (List.sort_uniq Link.compare r.links))
-    routes_arr;
-  let remaining : (Link.t, float) Hashtbl.t = Hashtbl.create 32 in
-  Hashtbl.iter
-    (fun link _ -> Hashtbl.replace remaining link (Link.capacity capacities link))
-    link_flows;
-  (* Flows with no links are only demand-capped. *)
-  Array.iteri
-    (fun i r ->
-      if r.links = [] then begin
-        rates.(i) <- r.flow.Flow.demand;
-        frozen.(i) <- true
-      end)
-    routes_arr;
-  let level = ref 0. in
-  let unfrozen_on link =
-    List.filter (fun i -> not frozen.(i))
-      (Option.value ~default:[] (Hashtbl.find_opt link_flows link))
-  in
-  let any_unfrozen () = Array.exists (fun f -> not f) frozen in
-  while any_unfrozen () do
-    (* Level at which the tightest link saturates. *)
-    let link_limit = ref infinity and saturating = ref [] in
-    Hashtbl.iter
-      (fun link rem ->
-        let count = List.length (unfrozen_on link) in
-        if count > 0 then begin
-          let saturation_level = !level +. (max 0. rem /. float_of_int count) in
-          if saturation_level < !link_limit -. epsilon then begin
-            link_limit := saturation_level;
-            saturating := [ link ]
-          end
-          else if saturation_level < !link_limit +. epsilon then
-            saturating := link :: !saturating
-        end)
-      remaining;
-    (* Level at which the most modest flow hits its demand. *)
-    let demand_limit = ref infinity in
-    Array.iteri
-      (fun i r ->
-        if not frozen.(i) then
-          demand_limit := min !demand_limit r.flow.Flow.demand)
-      routes_arr;
-    let target = min !link_limit !demand_limit in
-    let delta = target -. !level in
-    (* Consume capacity for the growth of all unfrozen flows. *)
-    Hashtbl.iter
-      (fun link rem ->
-        let count = List.length (unfrozen_on link) in
-        if count > 0 then
-          Hashtbl.replace remaining link (rem -. (float_of_int count *. delta)))
-      remaining;
-    level := target;
-    let froze = ref false in
-    (* Demand-capped flows first. *)
-    Array.iteri
-      (fun i r ->
-        if (not frozen.(i)) && r.flow.Flow.demand <= target +. epsilon then begin
-          rates.(i) <- r.flow.Flow.demand;
-          frozen.(i) <- true;
-          froze := true
-        end)
-      routes_arr;
-    (* Flows crossing a saturated link freeze at the fair level. The
-       comparison is epsilon-tolerant (a demand limit within epsilon of
-       the link limit used to skip this round entirely and dump the
-       saturated flows into the safety net below). *)
-    if !link_limit <= target +. epsilon then
-      List.iter
-        (fun link ->
-          List.iter
-            (fun i ->
-              if not frozen.(i) then begin
-                rates.(i) <- target;
-                frozen.(i) <- true;
-                froze := true
-              end)
-            (unfrozen_on link))
-        !saturating;
-    (* Numerical safety net: progress is guaranteed above, but if
-       tolerances conspire, freeze everything at the current level. *)
-    if not !froze then
-      Array.iteri
-        (fun i _ ->
-          if not frozen.(i) then begin
-            rates.(i) <- target;
-            frozen.(i) <- true
-          end)
-        routes_arr
-  done;
-  Array.to_list (Array.mapi (fun i r -> (r.flow.Flow.id, rates.(i))) routes_arr)
 
 let link_throughput routes allocation =
   let alloc : (int, float) Hashtbl.t = Hashtbl.create (2 * List.length allocation) in

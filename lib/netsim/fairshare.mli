@@ -13,7 +13,7 @@
     counters are reconciled lazily, and candidate saturation levels live
     in a min-heap with version-stamped lazy deletion — so a round costs
     the degree of what froze, not a rescan of every (flow, link) pair.
-    [allocate_reference] keeps the original list-based fill as the
+    The original list-based fill lives on in [test/oracle] as the
     property-test oracle and benchmark baseline. *)
 
 type route = {
@@ -22,7 +22,6 @@ type route = {
 }
 
 val water_fill :
-  ?pool:Kit.Pool.t ->
   Link.capacities ->
   demands:float array ->
   links:Link.t list array ->
@@ -34,26 +33,12 @@ val water_fill :
     per-member rate of each group, index-aligned with the inputs — equal
     to what [allocate] gives each member of the group expanded into
     singletons. A group with no links gets its full demand. Raises
-    [Invalid_argument] on mismatched array lengths or a weight < 1.
-
-    [pool] fans the setup out across domains — per-group link-list
-    normalization and the incidence id-mapping, the O(flows * path
-    length) part. Link interning, the CSR build and the fill kernel
-    itself stay sequential, so the result is bitwise-identical at any
-    pool width (the sequential kernel is the equivalence oracle). The
-    pool only engages above ~500 groups; below that domain spawn
-    dominates. *)
+    [Invalid_argument] on mismatched array lengths or a weight < 1. *)
 
 val allocate : Link.capacities -> route list -> (int * float) list
 (** [(flow id, rate)] for every route, in input order. A flow with an
     empty link list (locally delivered) gets its full demand. Flow ids
     must be distinct; raises [Invalid_argument] otherwise. *)
-
-val allocate_reference : Link.capacities -> route list -> (int * float) list
-(** The original O(flows * links)-per-round list implementation of
-    [allocate]: same contract, same fixed point (within numerical
-    tolerance). Kept as the QCheck oracle for [allocate]/[water_fill]
-    and as the pre-kernel baseline timed by the TFLOW bench. *)
 
 val link_throughput : route list -> (int * float) list -> (Link.t * float) list
 (** Aggregate per-link throughput implied by an allocation, sorted by

@@ -39,7 +39,6 @@ val ok : verdict -> bool
     every step. *)
 
 val run :
-  ?domains:int ->
   ?faults:int ->
   ?allow_controller_death:bool ->
   ?watchdog:bool ->
@@ -51,8 +50,6 @@ val run :
     [until - 4]; the run continues for a fixed quiescence tail past
     [until]. Requires [until >= 16]. With [Obs] telemetry enabled the
     whole run is traced on the shared timeline ([fibbingctl chaos]).
-    [domains] sizes the run's inner SPF pool (see
-    {!Igp.Network.create}); the verdict does not depend on it.
     [watchdog] (default [true]) arms a {!Netsim.Watchdog} after the
     controller attaches and wires guard purges into the controller's
     quarantine hold-down; the controller sits at R3, so during a

@@ -543,6 +543,14 @@ let test_chaos_deterministic () =
     && a.controller_alive = b.controller_alive
     && a.reactions = b.reactions)
 
+(* Regression seeds for a rejected re-steer: the controller's rollback
+   re-applied its previous plan although a router crash had flushed one
+   of its fakes in between, and the re-added set looped. *)
+let test_chaos_rollback_seed seed ~faults () =
+  let v = Scenarios.Chaos.run ~faults ~seed ~until:30. () in
+  if not (Scenarios.Chaos.ok v) then
+    Alcotest.failf "%a" Scenarios.Chaos.pp v
+
 (* ---------- Lie aging: the controller-death fallback ---------- *)
 
 let stream = 131072.
@@ -781,7 +789,15 @@ let () =
             test_crash_restart_idempotent;
         ] );
       ( "chaos",
-        [ Alcotest.test_case "deterministic" `Quick test_chaos_deterministic ]
+        [
+          Alcotest.test_case "deterministic" `Quick test_chaos_deterministic;
+          Alcotest.test_case "safe rollback, seed 504200036" `Quick
+            (test_chaos_rollback_seed 504200036 ~faults:4);
+          Alcotest.test_case "safe rollback, seed 287218" `Quick
+            (test_chaos_rollback_seed 287218 ~faults:4);
+          Alcotest.test_case "safe rollback, seed 287218 x5" `Quick
+            (test_chaos_rollback_seed 287218 ~faults:5);
+        ]
         @ qsuite [ prop_chaos_converges ] );
       ( "script-faults",
         [

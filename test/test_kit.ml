@@ -220,17 +220,23 @@ let test_pool_uneven_chunks () =
         (Array.fold_left ( + ) 0 hits))
     [ 1; 3; 7; 32; 33; 1001 ]
 
+let test_pool_default_is_one () =
+  (* Fine-grained work is sequential and sweeps widen only on request:
+     neither the host's core count nor the environment moves the
+     default. *)
+  Unix.putenv "FIBBING_DOMAINS" "4";
+  Alcotest.(check int) "default width" 1 (Kit.Pool.default_domain_count ());
+  Alcotest.(check int) "create picks up the default" 1
+    (Kit.Pool.domain_count (Kit.Pool.create ()))
+
 let test_pool_default_domains_override () =
-  let initial = Kit.Pool.default_domain_count () in
-  Alcotest.(check bool) "default is positive" true (initial >= 1);
   Kit.Pool.set_default_domains (Some 3);
   Alcotest.(check int) "override wins" 3 (Kit.Pool.default_domain_count ());
   let pool = Kit.Pool.create () in
   Alcotest.(check int) "create picks up override" 3
     (Kit.Pool.domain_count pool);
   Kit.Pool.set_default_domains None;
-  Alcotest.(check int) "override cleared" initial
-    (Kit.Pool.default_domain_count ())
+  Alcotest.(check int) "override cleared" 1 (Kit.Pool.default_domain_count ())
 
 (* ---------- Stats ---------- *)
 
@@ -405,6 +411,8 @@ let () =
             test_pool_propagates_exception;
           Alcotest.test_case "uneven chunk coverage" `Quick
             test_pool_uneven_chunks;
+          Alcotest.test_case "default width is 1" `Quick
+            test_pool_default_is_one;
           Alcotest.test_case "default domains override" `Quick
             test_pool_default_domains_override;
         ] );

@@ -359,7 +359,7 @@ let test_fairshare_demand_equals_level () =
       checkf (label ^ ": elastic flow takes rest") 5. (List.assoc 2 alloc))
     [
       ("kernel", Netsim.Fairshare.allocate caps exact);
-      ("reference", Netsim.Fairshare.allocate_reference caps exact);
+      ("reference", Oracle.allocate_reference caps exact);
     ];
   (* A demand a hair under the level must not leave the elastic flow
      short: epsilon-tolerant freezing gives 5 - 1e-10 and ~5, not a
@@ -379,7 +379,7 @@ let test_fairshare_demand_equals_level () =
         && abs_float (List.assoc 2 alloc -. 5.) < 1e-6))
     [
       ("kernel", Netsim.Fairshare.allocate caps near);
-      ("reference", Netsim.Fairshare.allocate_reference caps near);
+      ("reference", Oracle.allocate_reference caps near);
     ]
 
 (* The indexed kernel against the list oracle, rate for rate. *)
@@ -389,7 +389,7 @@ let prop_fairshare_matches_reference =
       let routes = random_routes input in
       let caps = Link.capacities ~default:6. in
       let fast = Netsim.Fairshare.allocate caps routes in
-      let slow = Netsim.Fairshare.allocate_reference caps routes in
+      let slow = Oracle.allocate_reference caps routes in
       List.length fast = List.length slow
       && List.for_all2
            (fun (id_f, r_f) (id_s, r_s) ->
